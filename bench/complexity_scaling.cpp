@@ -70,8 +70,8 @@ int main() {
   const perf::HardwareModel hardware;
   TextTable table("per-iteration cost vs N = n + m");
   table.set_header({"m", "N", "LU [ms]", "GS sweep [ms]", "xbar cells/iter",
-                    "xbar settles/iter", "settle exact [ms]",
-                    "settle reuse [ms]", "settle speedup",
+                    "xbar settles/iter", "settle [ms]", "refactors",
+                    "dense/structured flops",
                     "program [ms] (one-off)"});
 
   for (const std::size_t m : config.sizes) {
@@ -101,30 +101,29 @@ int main() {
     const double gs_ms = gs_timer.millis();
 
     // Crossbar solver: counted per-iteration writes and settles, plus the
-    // simulated settle cost in both settle modes — `exact` re-factors the
-    // effective matrix whenever a conductance actually changed (bit-exact
-    // with the paper-faithful baseline); `reuse` patches the cached factor
-    // with the rank-k correction instead.
+    // simulated settle's wall time and ledger flops. The structured settle
+    // (linalg/factor_cache.hpp) factors the effective array by Schur
+    // elimination along its zero pattern; the dense-equivalent flops are
+    // what a partial-pivot LU of the whole array would charge for the same
+    // refactors and solves.
     core::XbarPdipOptions options;
     options.seed = config.seed + m;
-    options.settle_mode = xbar::SettleMode::kExact;
-    const double exact_wall_before_s = settle_wall_seconds();
-    const auto exact_flops_before = settle_flops(run.ledger().tree());
+    const double wall_before_s = settle_wall_seconds();
+    const auto flops_before = settle_flops(run.ledger().tree());
     const auto outcome = core::solve_xbar_pdip(problem, options);
-    const double exact_settle_ms =
-        (settle_wall_seconds() - exact_wall_before_s) * 1e3;
-    const auto exact_settle_flops =
-        settle_flops(run.ledger().tree()) - exact_flops_before;
-
-    core::XbarPdipOptions reuse_options = options;
-    reuse_options.settle_mode = xbar::SettleMode::kReuse;
-    const double reuse_wall_before_s = settle_wall_seconds();
-    const auto reuse_flops_before = settle_flops(run.ledger().tree());
-    const auto reuse_outcome = core::solve_xbar_pdip(problem, reuse_options);
-    const double reuse_settle_ms =
-        (settle_wall_seconds() - reuse_wall_before_s) * 1e3;
-    const auto reuse_settle_flops =
-        settle_flops(run.ledger().tree()) - reuse_flops_before;
+    const double settle_ms = (settle_wall_seconds() - wall_before_s) * 1e3;
+    const auto structured_flops =
+        settle_flops(run.ledger().tree()) - flops_before;
+    const auto& cache = outcome.stats.backend.settle_cache;
+    const auto dim = static_cast<double>(outcome.stats.system_dim);
+    const double dense_flops =
+        static_cast<double>(cache.full_factorizations) * 2.0 / 3.0 * dim *
+            dim * dim +
+        static_cast<double>(cache.solves) * 2.0 * dim * dim;
+    const double flops_ratio =
+        structured_flops > 0
+            ? dense_flops / static_cast<double>(structured_flops)
+            : 0.0;
 
     double cells_per_iteration = 0.0;
     double settles_per_iteration = 0.0;
@@ -141,53 +140,30 @@ int main() {
           static_cast<double>(outcome.stats.iterations);
       program_ms = hardware.estimate_programming(outcome.stats).latency_s * 1e3;
     }
-    const double settle_speedup =
-        reuse_settle_ms > 0.0 ? exact_settle_ms / reuse_settle_ms : 0.0;
 
     table.add_row({TextTable::num((long long)m),
                    TextTable::num((long long)layout.dim()),
                    TextTable::num(lu_ms, 4), TextTable::num(gs_ms, 4),
                    TextTable::num(cells_per_iteration, 4),
                    TextTable::num(settles_per_iteration, 3),
-                   TextTable::num(exact_settle_ms, 4),
-                   TextTable::num(reuse_settle_ms, 4),
-                   TextTable::num(settle_speedup, 3) + "x",
+                   TextTable::num(settle_ms, 4),
+                   TextTable::num((long long)cache.full_factorizations),
+                   TextTable::num(flops_ratio, 3) + "x",
                    TextTable::num(program_ms, 4)});
-    // Regression metrics at the sweep's largest size: the settle-reuse
-    // speedup is the headline (wall clocks are measured/noisy; the flop
-    // counts are exact ledger counters and get tight thresholds).
+    // Regression metrics at the sweep's largest size: the settle wall clock
+    // is measured (noisy); the flop counts and cache counters are exact
+    // ledger counters and get tight thresholds.
     if (m == config.sizes.back()) {
-      run.metric("settle_wall_ms/exact", exact_settle_ms,
-                 {"ms", true, /*measured=*/true});
-      run.metric("settle_wall_ms/reuse", reuse_settle_ms,
-                 {"ms", true, /*measured=*/true});
-      run.metric("settle_speedup", settle_speedup,
-                 {"x", /*lower_is_better=*/false, /*measured=*/true});
-      run.metric("settle_flops/exact",
-                 static_cast<double>(exact_settle_flops),
+      run.metric("settle_wall_ms", settle_ms, {"ms", true, /*measured=*/true});
+      run.metric("settle_flops", static_cast<double>(structured_flops),
                  {"flops", true, /*measured=*/false});
-      run.metric("settle_flops/reuse",
-                 static_cast<double>(reuse_settle_flops),
-                 {"flops", true, /*measured=*/false});
-      run.metric("settle_flops_ratio",
-                 reuse_settle_flops > 0
-                     ? static_cast<double>(exact_settle_flops) /
-                           static_cast<double>(reuse_settle_flops)
-                     : 0.0,
+      run.metric("settle_dense_flops_ratio", flops_ratio,
                  {"x", /*lower_is_better=*/false, /*measured=*/false});
-      // Deterministic cache counters: how many O(N³) factorizations each
-      // mode actually paid for across the whole solve.
-      const auto& exact_cache = outcome.stats.backend.settle_cache;
-      const auto& reuse_cache = reuse_outcome.stats.backend.settle_cache;
-      run.metric("settle_full_factorizations/exact",
-                 static_cast<double>(exact_cache.full_factorizations),
+      run.metric("settle_full_factorizations",
+                 static_cast<double>(cache.full_factorizations),
                  {"count", true, /*measured=*/false});
-      run.metric("settle_full_factorizations/reuse",
-                 static_cast<double>(reuse_cache.full_factorizations),
+      run.metric("settle_plan_builds", static_cast<double>(cache.plan_builds),
                  {"count", true, /*measured=*/false});
-      run.metric("settle_incremental_updates/reuse",
-                 static_cast<double>(reuse_cache.incremental_updates),
-                 {"count", /*lower_is_better=*/false, /*measured=*/false});
     }
     std::fflush(stdout);
   }

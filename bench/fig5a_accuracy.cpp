@@ -59,10 +59,6 @@ int main() {
             variation > 0.0 ? mem::VariationModel::uniform(variation)
                             : mem::VariationModel::none();
         job.options.seed = config.seed + 1000 * m + trial;
-        // Benches run the settle-cache's rank-k reuse path (the exact mode
-        // exists for bit-exact golden traces; reuse is the production
-        // default for throughput runs).
-        job.options.settle_mode = xbar::SettleMode::kReuse;
         jobs.push_back(job);
         reference_objectives.push_back(references[trial].objective);
       }
@@ -78,26 +74,10 @@ int main() {
       }
       row.push_back(bench::percent(bench::mean(errors)));
       // Accuracy at the sweep's largest size is deterministic given the
-      // seed — a tight regression signal for solver-fidelity changes. The
-      // same cells re-solved in exact settle mode pin reuse-vs-exact parity:
-      // a drifting rank-k correction shows up as these two metrics split.
-      if (m == config.sizes.back()) {
+      // seed — a tight regression signal for solver-fidelity changes.
+      if (m == config.sizes.back())
         run.metric("rel_error/var=" + bench::percent(variation),
                    bench::mean(errors), {"frac", true, /*measured=*/false});
-        std::vector<BatchJob> exact_jobs = jobs;
-        for (auto& job : exact_jobs)
-          job.options.settle_mode = xbar::SettleMode::kExact;
-        const auto exact_outcomes =
-            solve_batch(std::span<const BatchJob>(exact_jobs));
-        std::vector<double> exact_errors;
-        for (std::size_t k = 0; k < exact_outcomes.size(); ++k)
-          if (exact_outcomes[k].result.optimal())
-            exact_errors.push_back(lp::relative_error(
-                exact_outcomes[k].result.objective, reference_objectives[k]));
-        run.metric("rel_error_exact/var=" + bench::percent(variation),
-                   bench::mean(exact_errors),
-                   {"frac", true, /*measured=*/false});
-      }
     }
     row.push_back(TextTable::num((long long)failures));
     table.add_row(row);

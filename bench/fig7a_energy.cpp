@@ -56,9 +56,6 @@ int main() {
                 ? mem::VariationModel::uniform(config.variations[v])
                 : mem::VariationModel::none();
         options.seed = config.seed + 1000 * m + trial;
-        // Throughput benches run the settle-cache reuse path; exact mode is
-        // reserved for bit-exact golden traces.
-        options.settle_mode = xbar::SettleMode::kReuse;
         const auto before = run.ledger().tree();
         const auto outcome = core::solve_xbar_pdip(problem, options);
         if (outcome.result.optimal()) {

@@ -15,17 +15,18 @@
 #      corresponding test, so a clean run means the suite is memory- and
 #      UB-clean.
 #   2. -DMEMLP_SANITIZE=thread (TSan): builds the concurrency-sensitive
-#      binaries (test_par, test_obs, test_prof, test_tiled, test_crossbar —
-#      the last two exercise the parallel tile paths) and runs them under
-#      MEMLP_THREADS=4, proving the memlp::par pool, the parallel
-#      tile/linalg paths, and the trace/metrics/profiler sinks are
-#      race-free.
+#      binaries (test_par, test_obs, test_prof, test_tiled, test_crossbar,
+#      test_factor_cache — tiled and crossbar exercise the parallel tile
+#      paths, factor_cache the structured settle's parallel level updates)
+#      and runs them under MEMLP_THREADS=4, proving the memlp::par pool,
+#      the parallel tile/linalg paths, and the trace/metrics/profiler sinks
+#      are race-free.
 #   3. Smoke bench: fig6a_latency + fig7a_energy + complexity_scaling +
 #      ablation_sparsity at a pinned tiny sweep (fixed seed, MEMLP_MAX_M=16,
 #      2 trials) into a temp dir, then memlp_report against the committed
 #      results/json/baseline tree — the regression gate from
 #      docs/observability.md. Deterministic estimated metrics (including
-#      the settle-cache factorization counts, the sparse-Schur flop
+#      the settle-cache refactor and plan counts, the sparse-Schur flop
 #      crossover, and zero-shard counts) use the default tight tolerance;
 #      measured wall clocks get a machine-tolerant band. ablation_sparsity
 #      additionally hard-fails if the sparse Schur assembly is not >= 5x
@@ -70,13 +71,14 @@ if ! MEMLP_FLIGHT_DUMP="$FLIGHT_DUMP" \
   exit 1
 fi
 
-echo "== TSan gate (test_par + test_obs + test_prof + test_tiled + test_crossbar) =="
+echo "== TSan gate (test_par + test_obs + test_prof + test_tiled + test_crossbar + test_factor_cache) =="
 cmake -B "$TSAN_BUILD_DIR" -S . -DMEMLP_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
-  --target test_par test_obs test_prof test_tiled test_crossbar
+  --target test_par test_obs test_prof test_tiled test_crossbar \
+  test_factor_cache
 MEMLP_THREADS=4 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-  -j "$JOBS" -L 'test_par|test_obs|test_prof|test_tiled|test_crossbar'
+  -j "$JOBS" -L 'test_par|test_obs|test_prof|test_tiled|test_crossbar|test_factor_cache'
 
 echo "== Smoke bench vs results/json/baseline =="
 # Runs the unsanitized static-gate binaries (sanitizers would skew wall

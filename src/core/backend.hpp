@@ -26,7 +26,8 @@ struct BackendStats {
   xbar::CrossbarStats xbar;
   xbar::AmplifierStats amps;
   noc::NocStats noc;
-  /// Settle-cache reuse counters (full LUs vs rank-k patches vs pure hits).
+  /// Settle-cache counters (numeric refactors, plan builds and rebuilds,
+  /// pure hits).
   FactorCacheStats settle_cache;
   std::size_t num_tiles = 1;
   /// Shards left unprogrammed because their block was all-zero (gauge, not

@@ -498,17 +498,14 @@ XbarSolveOutcome solve_analog_pdip(const lp::LinearProgram& problem,
     obs::HealthMonitor::global().report(obs::Anomaly::kRetryStorm,
                                         spec.solver_name, sink,
                                         static_cast<double>(out.stats.attempts));
-  // Settle-cache thrash: the cache exists to amortize factorizations across
-  // iterations; a solve where full refactorizations dominate its prepares
-  // paid O(N³) almost every iteration and deserves a health flag.
+  // Settle-cache thrash: the structured settle plans once per program()
+  // and replays the plan on every refactor; a solve that keeps rebuilding
+  // it pays a planning pass per settle and deserves a health flag.
   const auto& cache = out.stats.backend.settle_cache;
-  const std::uint64_t prepares = cache.full_factorizations +
-                                 cache.incremental_updates +
-                                 cache.prepare_hits;
-  if (cache.full_factorizations > 8 && cache.full_factorizations * 2 > prepares)
+  if (cache.thrashing())
     obs::HealthMonitor::global().report(
         obs::Anomaly::kSettleCacheThrash, spec.solver_name, sink,
-        static_cast<double>(cache.full_factorizations));
+        static_cast<double>(cache.plan_rebuilds));
   // A solve that ends in failure dumps the recorder for post-mortem even
   // when no trace was armed (infeasible/unbounded are conclusions, not
   // failures).

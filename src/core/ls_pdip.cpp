@@ -107,12 +107,16 @@ XbarSolveOutcome solve_ls_pdip(const lp::LinearProgram& original,
 
   Rng rng(options.seed);
   const bool schur = options.m1_mode == M1Mode::kSchurDiagonal;
+  // Building M1's target matrix is part of programming its array, and is
+  // profiled as such.
+  obs::ProfileSpan assemble_span("programming");
   NegativeFreeSystem negfree1(
       schur ? build_schur_m1(problem, PdipState::ones(n, m),
                              options.ratio_cap, options.corner_fill_scale,
                              &rng)
             : build_balanced_m1(problem, options.balancing_scale,
                                 options.balancing_fill, rng));
+  assemble_span.close();
 
   // M1's corner diagonals span many decades, so its array uses per-cell
   // gain-ranged writes (see CrossbarConfig::per_cell_gain_ranging).

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "linalg/ops.hpp"
+#include "obs/profiler.hpp"
 
 namespace memlp::core {
 namespace {
@@ -69,10 +70,12 @@ void LsNewton::begin_attempt(const PdipState& state, std::size_t attempt_index,
                              obs::TraceSink* sink) {
   // Reset the corner diagonals to the fresh-state values, then program the
   // whole M1 array once for this attempt (fresh variation draws).
-  if (schur_)
+  if (schur_) {
+    obs::ProfileSpan write_span("write_state");
     write_corner_diagonals(problem_, state, capped_x(state, options_.ratio_cap),
                            capped_y(state, options_.ratio_cap), negfree1_,
                            backend1_, /*also_backend=*/false);
+  }
   obs::PhaseSpan span(sink, "ls", "programming");
   span.note("attempt", attempt_index);
   const BackendStats before1 = backend1_.stats();
@@ -92,9 +95,11 @@ void LsNewton::begin_attempt(const PdipState& state, std::size_t attempt_index,
 void LsNewton::begin_iteration(const PdipState& state, std::size_t iteration) {
   x_hat_ = capped_x(state, options_.ratio_cap);
   y_hat_ = capped_y(state, options_.ratio_cap);
-  if (schur_ && iteration > 1)
+  if (schur_ && iteration > 1) {
+    obs::ProfileSpan write_span("write_state");
     write_corner_diagonals(problem_, state, x_hat_, y_hat_, negfree1_,
                            backend1_, /*also_backend=*/true);
+  }
 }
 
 Residuals LsNewton::measure(const PdipState& state, double mu) {
@@ -107,8 +112,10 @@ Residuals LsNewton::measure(const PdipState& state, double mu) {
   // Literal mode: fixed1 = [b − w; c + z] as printed in the paper.
   const Vec s1 = concat({state.x, state.y});
   // DAC at the state input; output stays analog into the amps.
+  obs::ProfileSpan mvm_span("mvm");
   ms1_ = backend1_.multiply(negfree1_.extend(s1),
                             AnalogBackend::IoBoundary::kInputOnly);
+  mvm_span.close();
   Vec fixed1(negfree1_.dim(), 0.0);
   {
     Vec bw;
@@ -144,7 +151,9 @@ Residuals LsNewton::measure(const PdipState& state, double mu) {
   if (schur_) {
     Vec sx = s1;
     std::fill(sx.begin() + static_cast<std::ptrdiff_t>(n), sx.end(), 0.0);
+    obs::ProfileSpan mvm_x_span("mvm");
     const Vec msx = backend1_.multiply(negfree1_.extend(sx));
+    mvm_x_span.close();
     const Vec ax = slice(msx, 0, m);
     const Vec aty = amps_.sub(slice(ms1_, m, n), slice(msx, m, n));
     primal_resid_ = amps_.sub(amps_.sub(problem_.b, ax), state.w);
@@ -166,8 +175,10 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
   const std::size_t m = problem_.num_constraints();
 
   // --- Solve system 1 for [∆x; ∆y].
+  obs::ProfileSpan settle_span("settle");
   const auto ds1_aug =
       backend1_.solve(r1_, AnalogBackend::IoBoundary::kOutputOnly);
+  settle_span.close();
   if (!ds1_aug) return {std::nullopt, true};
   const Vec ds1 = negfree1_.restrict(*ds1_aug);
   const std::span<const double> dx(ds1.data(), n);
@@ -183,11 +194,13 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
     // noise by up to ratio_cap on near-zero entries.
     Vec sdx(n + m, 0.0);
     std::copy(dx.begin(), dx.end(), sdx.begin());
-    const Vec ms_dx = backend1_.multiply(negfree1_.extend(sdx));
     Vec sdy(n + m, 0.0);
     std::copy(dy.begin(), dy.end(),
               sdy.begin() + static_cast<std::ptrdiff_t>(n));
+    obs::ProfileSpan mvm_span("mvm");
+    const Vec ms_dx = backend1_.multiply(negfree1_.extend(sdx));
     const Vec ms_dy = backend1_.multiply(negfree1_.extend(sdy));
+    mvm_span.close();
     dw = amps_.sub(primal_resid_, slice(ms_dx, 0, m));
     dz = amps_.sub(slice(ms_dy, m, n), dual_resid_);
   } else {
@@ -210,14 +223,19 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
       diagonal.push_back(
           {n + i, n + i,
            std::max(schur_ ? y_hat_[i] : state.y[i], representable)});
-    backend2_.update_cells(diagonal);
+    {
+      obs::ProfileSpan write_span("write_state");
+      backend2_.update_cells(diagonal);
+    }
 
     // r2 = [µe; µe] − M2·[z; w] (the XZe / YWe products come from the M2
     // array itself), minus the Z∘∆x / W∘∆y cross terms from the analog
     // multipliers when exact recovery is on.
     const Vec s2 = concat({state.z, state.w});
+    obs::ProfileSpan mvm_span("mvm");
     const Vec ms2 =
         backend2_.multiply(s2, AnalogBackend::IoBoundary::kInputOnly);
+    mvm_span.close();
     Vec r2 = amps_.sub(Vec(n + m, mu), ms2);
     if (options_.exact_recovery) {
       const Vec zdx = amps_.multiply_elementwise(state.z, dx);
@@ -225,8 +243,10 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
       const Vec cross = concat({zdx, wdy});
       r2 = amps_.sub(r2, cross);
     }
+    obs::ProfileSpan settle2_span("settle");
     const auto ds2 =
         backend2_.solve(r2, AnalogBackend::IoBoundary::kOutputOnly);
+    settle2_span.close();
     // The M2 system is diagonal: a failed settle means a broken array, never
     // a diverged iterate — report it without the divergence classifier.
     if (!ds2) return {std::nullopt, /*classify_on_failure=*/false};

@@ -45,16 +45,15 @@ XbarSolveOutcome solve_with_context(const lp::LinearProgram& original,
                       context.a_scaled == problem.a;
   if (!same_a) {
     // The augmented system's sign pattern is fixed by A, Aᵀ, and −I; the
-    // all-ones state gives the structural matrix.
+    // all-ones state gives the structural matrix. Building the array's
+    // target matrix is part of programming it, and is profiled as such.
+    obs::ProfileSpan assemble_span("programming");
     context.negfree.emplace(
         assemble_kkt(problem, PdipState::ones(layout.n, layout.m)));
+    assemble_span.close();
     Rng rng(options.seed);
-    // options.settle_mode is authoritative over whatever the caller left in
-    // the nested crossbar config.
-    BackendOptions hardware = options.hardware;
-    hardware.crossbar.settle_mode = options.settle_mode;
     context.backend =
-        make_backend(hardware, context.negfree->dim(), rng.split());
+        make_backend(options.hardware, context.negfree->dim(), rng.split());
     context.a_scaled = problem.a;
     context.array_programmed = false;
     context.amps.reset_stats();

@@ -39,13 +39,6 @@ struct XbarPdipOptions {
   PdipOptions pdip{};
   /// Hardware selection (device, variation, precision, NoC).
   BackendOptions hardware{};
-  /// Settle-simulation policy, copied over hardware.crossbar.settle_mode
-  /// when the backend is built (this field is authoritative). kExact keeps
-  /// the legacy bit-exact always-refactor simulation; kReuse patches the
-  /// cached factorization across the per-iteration diagonal rewrites
-  /// (Sherman–Morrison rank-k, see linalg/factor_cache.hpp) — same physics,
-  /// results differ only by factorization round-off.
-  xbar::SettleMode settle_mode = xbar::SettleMode::kExact;
   /// α of the final constraint check (close to but above 1, §3.2).
   double alpha = 1.05;
   /// Mapping headroom: crossbar full-scale = headroom × initial max |M|.

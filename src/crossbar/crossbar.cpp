@@ -67,20 +67,11 @@ CrossbarStats CrossbarStats::since(const CrossbarStats& earlier) const noexcept 
   return d;
 }
 
-FactorCacheOptions settle_cache_options(SettleMode mode) {
-  FactorCacheOptions options;
-  options.incremental = mode == SettleMode::kReuse;
-  options.iterative_refinement = false;
-  options.refresh_interval = 64;
-  return options;
-}
-
 Crossbar::Crossbar(CrossbarConfig config, Rng rng)
     : config_(config),
       rng_(rng),
       programming_(config.device, config.conductance_levels),
-      io_(config.io_bits),
-      settle_cache_(settle_cache_options(config.settle_mode)) {
+      io_(config.io_bits) {
   config_.validate();
 }
 
@@ -302,8 +293,8 @@ void Crossbar::apply_half_select_disturb(std::size_t r, std::size_t c) {
     if (j != c) nudge(r, j);
   for (std::size_t i = 0; i < rows(); ++i)
     if (i != r) nudge(i, c);
-  // Disturb smears across a whole row and column — too wide a dirty set for
-  // a rank-k patch, so the next settle fully re-factors.
+  // Disturb smears across a whole row and column (and fills in its zero
+  // cells): the next settle re-checks the whole pattern.
   settle_cache_.note_all();
 }
 

@@ -11,6 +11,7 @@
 
 #include "linalg/ops.hpp"
 #include "linalg/sparse.hpp"
+#include "lp/number.hpp"
 
 namespace memlp::lp {
 namespace {
@@ -79,17 +80,9 @@ struct Parser {
     std::string cleaned = token;
     for (char& ch : cleaned)
       if (ch == 'D' || ch == 'd') ch = 'e';
-    try {
-      std::size_t consumed = 0;
-      const double value = std::stod(cleaned, &consumed);
-      if (consumed != cleaned.size())
-        fail(MpsError::Kind::kNumber, "bad number '" + token + "'");
-      return value;
-    } catch (const MpsError&) {
-      throw;
-    } catch (...) {
-      fail(MpsError::Kind::kNumber, "bad number '" + token + "'");
-    }
+    const std::optional<double> value = parse_finite(cleaned);
+    if (!value) fail(MpsError::Kind::kNumber, "bad number '" + token + "'");
+    return *value;
   }
 
   std::size_t constraint_row(const std::string& name) {

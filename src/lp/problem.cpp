@@ -62,8 +62,10 @@ bool LinearProgram::satisfies_constraints(std::span<const double> x,
                                           double alpha,
                                           double tolerance) const {
   MEMLP_EXPECT(x.size() == num_variables());
+  // Fails closed: a NaN or infinite x or A·x is never feasible (every
+  // comparison with NaN is false, so the bounds alone would let it pass).
   for (double xj : x)
-    if (xj < -tolerance) return false;
+    if (!std::isfinite(xj) || xj < -tolerance) return false;
   const Vec ax = a.multiply(x);
   // Per-row allowance: (α−1) of the row's own scale, floored at half the
   // problem scale so rows with b_i = 0 (e.g. flow-conservation rows) still
@@ -72,7 +74,8 @@ bool LinearProgram::satisfies_constraints(std::span<const double> x,
   for (std::size_t i = 0; i < b.size(); ++i) {
     const double allowance =
         (alpha - 1.0) * std::max(std::abs(b[i]), 0.5 * b_norm);
-    if (ax[i] > b[i] + allowance + tolerance) return false;
+    if (!std::isfinite(ax[i]) || !(ax[i] <= b[i] + allowance + tolerance))
+      return false;
   }
   return true;
 }

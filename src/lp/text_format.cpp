@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "lp/number.hpp"
+
 namespace memlp::lp {
 namespace {
 
@@ -28,16 +30,9 @@ bool clean_line(std::string& line) {
 }
 
 double parse_number(const std::string& token, std::size_t line) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(token, &consumed);
-    if (consumed != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (...) {
-    fail(line, "bad number '" + token + "'");
-  }
+  const std::optional<double> value = parse_finite(token);
+  if (!value) fail(line, "bad number '" + token + "'");
+  return *value;
 }
 
 }  // namespace

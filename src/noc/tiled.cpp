@@ -30,8 +30,6 @@ TiledCrossbarMatrix::TiledCrossbarMatrix(TiledConfig config, Rng rng)
     throw ConfigError("tiled crossbar: tile_dim must be > 0");
   config_.xbar.max_dim = config_.tile_dim;
   config_.xbar.validate();
-  settle_cache_ =
-      FactorizationCache(xbar::settle_cache_options(config_.xbar.settle_mode));
 }
 
 std::vector<TiledCrossbarMatrix::BlockRange> TiledCrossbarMatrix::cut(

@@ -155,7 +155,7 @@ class TiledCrossbarMatrix {
   [[nodiscard]] const xbar::AmplifierStats& amplifier_stats() const noexcept {
     return amps_.stats();
   }
-  /// Composite settle-cache counters (full refactors vs incremental patches).
+  /// Composite settle-cache counters (numeric refactors, plan builds, hits).
   [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
     return settle_cache_.stats();
   }
@@ -219,7 +219,7 @@ class TiledCrossbarMatrix {
   /// program). Lets repeated settles skip the O(N²) reassembly.
   Matrix composite_;
   /// Caches the composite factorization across settles (precise
-  /// invalidation; rank-k reuse in SettleMode::kReuse).
+  /// invalidation; the structured plan follows the composite's zero shards).
   FactorizationCache settle_cache_;
 };
 

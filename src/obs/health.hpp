@@ -25,7 +25,7 @@ enum class Anomaly : std::uint8_t {
   kDivergence = 1,        ///< residuals or iterates growing without bound.
   kWildJump = 2,          ///< >100× one-step jump in |x| and |y|.
   kMuOscillation = 3,     ///< µ flip-flopping instead of decreasing.
-  kSettleCacheThrash = 4, ///< factor cache refreshing instead of reusing.
+  kSettleCacheThrash = 4, ///< settle plan rebuilt instead of reused.
   kRetryStorm = 5,        ///< analog solve needing ≥3 attempts.
 };
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <span>
@@ -178,6 +179,48 @@ TEST(EngineGolden, LsM2Recovery) {
   const auto outcome = core::solve_ls_pdip(problem, options);
   EXPECT_EQ(outcome.result.status, lp::SolveStatus::kOptimal);
   check_golden("ls_m2_recovery", iteration_lines(sink));
+}
+
+// --- structured-settle parity -----------------------------------------------
+
+// The analog fixtures above were re-recorded when the settle moved from a
+// dense LU of the whole effective array to the structured factorization
+// (linalg/factor_cache.hpp). Every record moved by at most 3.5e-9 relative;
+// these pin the dense-settle outcomes the old fixtures ended in: the same
+// status and iteration count, and the objective to 1e-9 relative.
+struct DenseSettleOutcome {
+  std::size_t iterations;
+  double objective;
+};
+
+void expect_dense_settle_parity(const core::XbarSolveOutcome& outcome,
+                                const DenseSettleOutcome& dense) {
+  EXPECT_EQ(outcome.result.status, lp::SolveStatus::kOptimal);
+  EXPECT_EQ(outcome.stats.iterations, dense.iterations);
+  EXPECT_NEAR(outcome.result.objective, dense.objective,
+              1e-9 * std::abs(dense.objective));
+}
+
+TEST(EngineGolden, StructuredSettleMatchesDenseSettleOutcomes) {
+  const auto xbar_problem = golden_problem(8, 92);
+  core::XbarPdipOptions xbar_options;
+  xbar_options.hardware = golden_hardware();
+  xbar_options.seed = 4242;
+  expect_dense_settle_parity(core::solve_xbar_pdip(xbar_problem, xbar_options),
+                             {61, 1.4422322793347733});
+  xbar_options.pdip.predictor_corrector = true;
+  expect_dense_settle_parity(core::solve_xbar_pdip(xbar_problem, xbar_options),
+                             {85, 1.4437719621791552});
+
+  const auto ls_problem = golden_problem(8, 93);
+  core::LsPdipOptions ls_options;
+  ls_options.hardware = golden_hardware();
+  ls_options.seed = 4242;
+  expect_dense_settle_parity(core::solve_ls_pdip(ls_problem, ls_options),
+                             {51, 1.6959142223678909});
+  ls_options.recovery = core::RecoveryMode::kM2Diagonal;
+  expect_dense_settle_parity(core::solve_ls_pdip(ls_problem, ls_options),
+                             {39, 1.6862169716756161});
 }
 
 // --- solver registry ---------------------------------------------------------

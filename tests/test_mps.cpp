@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -94,6 +95,23 @@ TEST(Mps, FortranExponentsAreAccepted) {
   EXPECT_DOUBLE_EQ(model.problem.b[0], 10.0);
 }
 
+TEST(Mps, SubnormalCoefficientsAreAccepted) {
+  std::istringstream in(
+      "NAME TINY\n"
+      "ROWS\n"
+      " N COST\n"
+      " L R1\n"
+      "COLUMNS\n"
+      " X1 COST 1 R1 1e-320\n"
+      "RHS\n"
+      " RHS R1 4.9e-324\n"
+      "ENDATA\n");
+  const MpsModel model = read_mps(in, "tiny.mps");
+  EXPECT_GT(model.problem.a(0, 0), 0.0);
+  EXPECT_LT(model.problem.a(0, 0), std::numeric_limits<double>::min());
+  EXPECT_EQ(model.problem.b[0], std::numeric_limits<double>::denorm_min());
+}
+
 // --- typed errors anchored at exact file:line ---------------------------
 
 template <typename Fn>
@@ -114,6 +132,32 @@ TEST(MpsErrors, BadNumberNamesTheLine) {
   EXPECT_EQ(e.line(), 6u);
   EXPECT_NE(std::string(e.what()).find("bad_number.mps:6"),
             std::string::npos);
+}
+
+TEST(MpsErrors, NonFiniteNumbersAreRejected) {
+  // NaN and ±inf (spelled out or reached by overflow), and a nonzero value
+  // that underflows to zero, are bad numbers on the line that holds them.
+  for (const char* value : {"nan", "NaN", "inf", "-inf", "Infinity", "1e400",
+                            "-1D400", "1e-400"}) {
+    const std::string text = std::string(
+                                 "NAME BAD\n"
+                                 "ROWS\n"
+                                 " N COST\n"
+                                 " L R1\n"
+                                 "COLUMNS\n"
+                                 " X1 COST 1 R1 ") +
+                             value +
+                             "\n"
+                             "RHS\n"
+                             " RHS R1 1\n"
+                             "ENDATA\n";
+    const MpsError e = expect_mps_error([&] {
+      std::istringstream in(text);
+      (void)read_mps(in, "bad.mps");
+    });
+    EXPECT_EQ(e.kind(), MpsError::Kind::kNumber) << value;
+    EXPECT_EQ(e.line(), 6u) << value;
+  }
 }
 
 TEST(MpsErrors, UnknownRowNamesTheLine) {

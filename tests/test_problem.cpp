@@ -1,6 +1,9 @@
 // Tests for the LP problem type: validation, dual, residuals, α-check.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 #include "lp/problem.hpp"
 #include "lp/result.hpp"
@@ -105,6 +108,29 @@ TEST(Problem, ConstraintCheckNegativeRhs) {
   EXPECT_FALSE(lp.satisfies_constraints(Vec{1.0}, 1.02));
   // α loosens (not tightens) the bound for negative b too.
   EXPECT_TRUE(lp.satisfies_constraints(Vec{1.97}, 1.02));
+}
+
+TEST(Problem, ConstraintCheckFailsClosedOnNaN) {
+  const LinearProgram lp = tiny();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A NaN or infinite x compares false against every bound.
+  EXPECT_FALSE(lp.satisfies_constraints(Vec{nan, 1.0}));
+  EXPECT_FALSE(lp.satisfies_constraints(Vec{1.0, nan}, 1.5, 10.0));
+  EXPECT_FALSE(lp.satisfies_constraints(Vec{inf, 1.0}));
+  // Finite x whose A·x is NaN: 2·1.5e308 overflows to +inf and the second
+  // term to −inf, so the row sums to inf − inf.
+  LinearProgram overflow;
+  overflow.a = Matrix{{2.0, -2.0}};
+  overflow.b = {1.0};
+  overflow.c = {1.0, 1.0};
+  const Vec x{1.5e308, 1.5e308};
+  ASSERT_TRUE(std::isnan(overflow.a.multiply(x)[0]));
+  EXPECT_FALSE(overflow.satisfies_constraints(x, 2.0, 1e300));
+  // ...and a NaN coefficient makes A·x NaN for an ordinary x.
+  LinearProgram poisoned = tiny();
+  poisoned.a = Matrix{{1.0, nan}, {0.0, 1.0}};
+  EXPECT_FALSE(poisoned.satisfies_constraints(Vec{1.0, 1.0}));
 }
 
 TEST(SolveStatus, ToStringCoversAll) {

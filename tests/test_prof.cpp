@@ -19,6 +19,9 @@
 
 #include "common/json.hpp"
 #include "common/par.hpp"
+#include "common/rng.hpp"
+#include "core/ls_pdip.hpp"
+#include "lp/generator.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/cost_ledger.hpp"
 #include "obs/profiler.hpp"
@@ -206,6 +209,29 @@ TEST(Profiler, PhaseSpanOpensAMatchingProfilerFrame) {
   const auto phases = sink.events_of("phase");
   ASSERT_EQ(phases.size(), 1u);
   EXPECT_EQ(text_field(phases[0], "phase"), "iterations");
+}
+
+TEST(Profiler, LsIterationsSplitIntoWriteMvmAndSettle) {
+  // The large-scale solver's host time below ls/iterations is attributed
+  // to the same three leaves as xbar's: array writes, MVMs and settles.
+  memlp::lp::GeneratorOptions gen;
+  gen.constraints = 12;
+  memlp::Rng rng(5);
+  const auto problem = memlp::lp::random_feasible(gen, rng);
+  Profiler profiler;
+  {
+    ActiveProfiler active(&profiler);
+    memlp::core::LsPdipOptions options;
+    options.seed = 7;
+    (void)memlp::core::solve_ls_pdip(problem, options);
+  }
+  const auto stats = profiler.aggregate();
+  for (const char* leaf : {"write_state", "mvm", "settle"}) {
+    const auto* entry =
+        find_path(stats, std::string("ls/iterations/") + leaf);
+    ASSERT_NE(entry, nullptr) << leaf;
+    EXPECT_GT(entry->count, 0u) << leaf;
+  }
 }
 
 TEST(Profiler, PhaseSpanWithoutSinkStillProfiles) {

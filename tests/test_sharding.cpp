@@ -22,8 +22,6 @@ XbarPdipOptions sharded_ideal_hardware() {
   options.hardware.crossbar.io_bits = 0;
   options.hardware.force_noc = true;
   options.hardware.tile_dim = 128;
-  // Factorization reuse keeps the >1000-dim settle simulation affordable.
-  options.settle_mode = xbar::SettleMode::kReuse;
   return options;
 }
 

@@ -34,6 +34,7 @@
 #include "common/par.hpp"
 #include "common/rng.hpp"
 #include "engine/batch.hpp"
+#include "crossbar/crossbar.hpp"
 #include "engine/registry.hpp"
 #include "lp/generator.hpp"
 #include "lp/problem.hpp"
@@ -359,6 +360,56 @@ TEST(HealthMonitor, ReportFansOutToRollupMetricsAndSink) {
   EXPECT_EQ(events[0].number("iteration"), 17.0);
   monitor.reset();
   EXPECT_EQ(monitor.total(), 0u);
+}
+
+// settle_cache_thrash: the structured settle plans once per program() and
+// replays the plan; plans rebuilt on most settles are waste.
+TEST(HealthMonitor, SettleCacheThrashFiresWhenThePatternChangesEverySettle) {
+  xbar::CrossbarConfig config;  // ideal cells: a written 0 stays exactly 0
+  config.variation = mem::VariationModel::none();
+  const std::size_t n = 16;
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = 2.0;
+    a(i, (i + 3) % n) = 0.5;
+  }
+  xbar::Crossbar crossbar(config, Rng(3));
+  crossbar.program(a, 4.0);
+  const Vec b(n, 1.0);
+  for (std::size_t settle = 0; settle < 20; ++settle) {
+    // Alternately fill and clear one off-pattern cell: its row's zero
+    // pattern differs at every settle.
+    crossbar.update_cell(0, 8, settle % 2 == 0 ? 0.25 : 0.0);
+    ASSERT_TRUE(crossbar.solve(b).has_value());
+  }
+  const FactorCacheStats& stats = crossbar.settle_cache_stats();
+  // The first settle plans the freshly programmed array; each later one
+  // rebuilds.
+  EXPECT_EQ(stats.plan_builds, 20u);
+  EXPECT_EQ(stats.plan_rebuilds, 19u);
+  EXPECT_TRUE(stats.thrashing());
+}
+
+TEST(HealthMonitor, SettleCacheThrashStaysQuietOnANormalXbarSolve) {
+  auto& monitor = obs::HealthMonitor::global();
+  const auto count = [&] {
+    const auto rollup = monitor.rollup();
+    const auto solver = rollup.find("xbar");
+    if (solver == rollup.end()) return std::uint64_t{0};
+    const auto kind = solver->second.find("settle_cache_thrash");
+    return kind == solver->second.end() ? std::uint64_t{0} : kind->second;
+  };
+  const std::uint64_t before = count();
+  engine::SolveRequest request;
+  request.solver = "xbar";
+  request.seed = 42;
+  request.hardware.crossbar.variation = mem::VariationModel::uniform(0.1);
+  const auto report = engine::solve(test_problem(48, 17), request);
+  EXPECT_TRUE(report.result.optimal());
+  const FactorCacheStats& stats = report.stats.backend.settle_cache;
+  EXPECT_GT(stats.full_factorizations, 10u);
+  EXPECT_FALSE(stats.thrashing());
+  EXPECT_EQ(count(), before);
 }
 
 TEST(HealthMonitor, AnomalyNamesAreStable) {

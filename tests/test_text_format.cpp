@@ -1,6 +1,9 @@
 // Tests for the LP text format.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/rng.hpp"
 #include "lp/generator.hpp"
 #include "lp/text_format.hpp"
@@ -98,6 +101,27 @@ TEST(TextFormat, RejectsGarbageNumbersWithLineInfo) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos);
   }
+}
+
+TEST(TextFormat, RejectsNonFiniteNumbers) {
+  for (const char* value : {"nan", "inf", "-inf", "infinity", "1e400",
+                            "1e-400"}) {
+    try {
+      from_text(std::string("memlp-lp 1\nvariables 1\nmaximize 1\n") + value +
+                " <= 2\n");
+      ADD_FAILURE() << value << " should have thrown";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << value;
+    }
+  }
+}
+
+TEST(TextFormat, AcceptsSubnormalNumbers) {
+  const auto problem =
+      from_text("memlp-lp 1\nvariables 1\nmaximize 1\n1e-320 <= 2\n");
+  EXPECT_GT(problem.a(0, 0), 0.0);
+  EXPECT_LT(problem.a(0, 0), std::numeric_limits<double>::min());
 }
 
 TEST(TextFormat, RejectsEmptyConstraintSet) {

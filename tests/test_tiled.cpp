@@ -269,37 +269,40 @@ TEST(Tiled, SettleCacheSurvivesNoOpWritesAndFollowsRealOnes) {
     EXPECT_NEAR((*x)[i], expected[i], 1e-12);
 }
 
-TEST(Tiled, ReuseModeMatchesExactAcrossIterations) {
-  TiledConfig exact_cfg = ideal_tiled(4);
-  exact_cfg.xbar.settle_mode = xbar::SettleMode::kExact;
-  TiledConfig reuse_cfg = ideal_tiled(4);
-  reuse_cfg.xbar.settle_mode = xbar::SettleMode::kReuse;
+TEST(Tiled, StructuredSettleMatchesDenseLuAcrossIterations) {
+  // A block-sparse composite: the off-diagonal tiles are zero shards, so
+  // the composite's zero pattern drives the structured settle. Diagonal
+  // rewrites replay the plan and each settle matches a dense LU.
+  TiledConfig config = ideal_tiled(4);
+  config.xbar.variation = mem::VariationModel::uniform(0.1);
   Rng rng(34);
   const std::size_t n = 12;
-  const Matrix a = random_nonneg(n, n, rng);
-  TiledCrossbarMatrix exact(exact_cfg, Rng(35));
-  TiledCrossbarMatrix reuse(reuse_cfg, Rng(35));
-  exact.program(a, 4.0);
-  reuse.program(a, 4.0);
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i / 4 == j / 4 && (i == j || rng.uniform() < 0.5))
+        a(i, j) = rng.uniform(0.2, 2.0);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += 2.0;
+  TiledCrossbarMatrix tiled(config, Rng(35));
+  tiled.program(a, 8.0);
+  EXPECT_EQ(tiled.num_zero_tiles(), 6u);
 
   for (std::size_t iteration = 0; iteration < 5; ++iteration) {
     std::vector<xbar::CellUpdate> updates;
-    for (std::size_t j = 0; j < 3; ++j)
-      updates.push_back({j, j, rng.uniform(0.2, 2.0)});
-    exact.update_cells(updates);
-    reuse.update_cells(updates);
+    for (std::size_t j = 0; j < n; j += 2)
+      updates.push_back({j, j, rng.uniform(2.0, 4.0)});
+    tiled.update_cells(updates);
     Vec b(n);
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
-    const auto x_exact = exact.solve(b);
-    const auto x_reuse = reuse.solve(b);
-    ASSERT_TRUE(x_exact.has_value());
-    ASSERT_TRUE(x_reuse.has_value());
+    const auto x = tiled.solve(b);
+    ASSERT_TRUE(x.has_value());
+    const Vec dense = LuFactorization(tiled.assemble_effective()).solve(b);
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR((*x_reuse)[i], (*x_exact)[i],
-                  1e-9 * (1.0 + std::abs((*x_exact)[i])))
+      EXPECT_NEAR((*x)[i], dense[i], 1e-9 * (1.0 + std::abs(dense[i])))
           << "row " << i << " it " << iteration;
   }
-  EXPECT_GE(reuse.settle_cache_stats().incremental_updates, 3u);
+  EXPECT_EQ(tiled.settle_cache_stats().plan_builds, 1u);
+  EXPECT_EQ(tiled.settle_cache_stats().full_factorizations, 5u);
 }
 
 TEST(Tiled, FailedGlobalSettleAccounting) {
